@@ -646,6 +646,21 @@ mod tests {
     }
 
     #[test]
+    fn invalid_madgan_config_falls_back_to_ocsvm() {
+        let cohort = toy_cohort();
+        let mut configs = quick_configs();
+        configs.madgan.batch_size = 0;
+        let (_, trained) = train_detector_with_fallback(
+            DetectorKind::MadGan,
+            &cohort[0].train_benign,
+            &cohort[0].train_malicious,
+            &configs,
+        )
+        .expect("OC-SVM trains where MAD-GAN's config is rejected");
+        assert_eq!(trained, DetectorKind::OcSvm);
+    }
+
+    #[test]
     fn evaluate_on_patient_counts_quadrants() {
         let cohort = toy_cohort();
         let det = train_detector(

@@ -36,6 +36,12 @@ pub enum DetectError {
         /// The offending value.
         nu: f64,
     },
+    /// A MAD-GAN size that must be positive is zero (`batch_size`,
+    /// `inversion_steps`, `hidden` or `latent_dim`).
+    InvalidMadGanConfig {
+        /// The offending config field.
+        field: &'static str,
+    },
     /// Scaler fitting failed on the training windows.
     Scaler(ScalerError),
 }
@@ -55,6 +61,9 @@ impl fmt::Display for DetectError {
             DetectError::InvalidK => write!(f, "k must be positive"),
             DetectError::KdTreeMetric => write!(f, "the KD-tree backend requires p = 2"),
             DetectError::InvalidNu { nu } => write!(f, "nu = {nu} outside (0, 1]"),
+            DetectError::InvalidMadGanConfig { field } => {
+                write!(f, "MAD-GAN {field} must be positive")
+            }
             DetectError::Scaler(e) => write!(f, "scaler: {e}"),
         }
     }

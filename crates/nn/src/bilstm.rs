@@ -101,8 +101,8 @@ impl BiLstmRegressor {
         let trace_b = self.bwd.forward_seq(&rev);
         let mut cat = trace_f.last_hidden().to_vec();
         cat.extend_from_slice(trace_b.last_hidden());
-        let (_, cache) = self.head.forward_with_cache(&cat);
-        let dcat = self.head.backward_input(&cache, &[1.0]);
+        let cache = self.head.forward_rows(Matrix::from_vec(1, cat.len(), cat));
+        let dcat = self.head.input_grad_rows(&cache, &[1.0]);
 
         let h = self.fwd.hidden_size();
         let mut dh_f = vec![vec![0.0; h]; n];

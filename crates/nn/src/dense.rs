@@ -5,16 +5,20 @@ use crate::activation::Activation;
 use crate::init;
 use crate::optimizer::Trainable;
 
-/// Forward-pass intermediates of a [`Dense`] layer, held by the caller.
-///
-/// Used when one layer instance is applied at many positions of a sequence
-/// (e.g. the per-timestep output head of a sequence-to-sequence LSTM), where
-/// the layer's single internal cache would be overwritten.
+/// Forward-pass intermediates of a [`Dense`] layer applied to a batch of
+/// rows at once ([`Dense::forward_rows`]), held by the caller.
 #[derive(Debug, Clone)]
-pub struct DenseCache {
-    x: Vec<f64>,
-    pre: Vec<f64>,
-    post: Vec<f64>,
+pub struct DenseBatchCache {
+    x: Matrix,
+    pre: Matrix,
+    post: Matrix,
+}
+
+impl DenseBatchCache {
+    /// The layer outputs, one row per input row.
+    pub fn outputs(&self) -> &Matrix {
+        &self.post
+    }
 }
 
 /// A fully connected layer `y = act(W x + b)` operating on single vectors.
@@ -118,67 +122,71 @@ impl Dense {
         pre
     }
 
-    /// Runs the layer forward, returning the output together with a cache the
-    /// caller owns — unlike [`Self::forward`], repeated calls do not clobber
-    /// each other's intermediates.
+    /// Runs the layer over every row of `x` at once, returning a cache the
+    /// caller owns — unlike [`Self::forward`], repeated calls do not
+    /// clobber each other's intermediates. The products go through one
+    /// tiled [`Matrix::matmul_nt`], whose rows are bit-for-bit the per-row
+    /// `matvec` of [`Self::forward`].
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != self.input_size()`.
-    pub fn forward_with_cache(&self, x: &[f64]) -> (Vec<f64>, DenseCache) {
-        let mut pre = self.weight.matvec(x);
-        for (p, b) in pre.iter_mut().zip(self.bias.as_slice()) {
-            *p += b;
+    /// Panics if `x.cols() != self.input_size()`.
+    pub fn forward_rows(&self, x: Matrix) -> DenseBatchCache {
+        let mut pre = x.matmul_nt(&self.weight);
+        for row in pre.as_mut_slice().chunks_exact_mut(self.output_size()) {
+            for (p, b) in row.iter_mut().zip(self.bias.as_slice()) {
+                *p += b;
+            }
         }
         let mut post = pre.clone();
-        self.activation.apply_slice(&mut post);
-        (
-            post.clone(),
-            DenseCache {
-                x: x.to_vec(),
-                pre,
-                post,
-            },
-        )
+        self.activation.apply_slice(post.as_mut_slice());
+        DenseBatchCache { x, pre, post }
     }
 
-    /// Backpropagates `dy` through a caller-held cache from
-    /// [`Self::forward_with_cache`], accumulating gradients and returning the
-    /// input gradient.
+    /// Backpropagates one output-gradient row per cached row (`dy` flat,
+    /// row-major), accumulating weight/bias gradients row by row in order
+    /// — the order of one [`Self::backward`] call per row — and
+    /// returning the input gradients (flat, one input-width row per row).
     ///
     /// # Panics
     ///
-    /// Panics if `dy.len()` differs from the cached output width.
-    pub fn backward_from(&mut self, cache: &DenseCache, dy: &[f64]) -> Vec<f64> {
-        assert_eq!(dy.len(), cache.post.len(), "backward_from: bad dy length");
-        let dz: Vec<f64> = dy
-            .iter()
-            .zip(cache.pre.iter().zip(&cache.post))
-            .map(|(&d, (&z, &y))| d * self.activation.derivative(z, y))
-            .collect();
-        self.grad_weight.add_outer(&dz, &cache.x, 1.0);
-        for (gb, &d) in self.grad_bias.as_mut_slice().iter_mut().zip(&dz) {
-            *gb += d;
+    /// Panics if `dy.len()` differs from the cached output size.
+    pub fn backward_rows(&mut self, cache: &DenseBatchCache, dy: &[f64]) -> Vec<f64> {
+        let dz = self.output_grad_rows(cache, dy);
+        for (dzr, x) in dz.chunks_exact(self.output_size()).zip(cache.x.iter_rows()) {
+            self.grad_weight.add_outer(dzr, x, 1.0);
+            for (gb, &d) in self.grad_bias.as_mut_slice().iter_mut().zip(dzr) {
+                *gb += d;
+            }
         }
-        self.weight.matvec_transpose(&dz)
+        self.input_rows(&dz)
     }
 
-    /// Backpropagates `dy` through a caller-held cache *without* touching
-    /// the parameter-gradient accumulators, returning only the input
-    /// gradient — the pure path usable through `&self` on shared layers
-    /// (e.g. from parallel attack campaigns).
+    /// [`Self::backward_rows`] without touching the parameter-gradient
+    /// accumulators: the pure input-gradient pass through `&self`.
     ///
     /// # Panics
     ///
-    /// Panics if `dy.len()` differs from the cached output width.
-    pub fn backward_input(&self, cache: &DenseCache, dy: &[f64]) -> Vec<f64> {
-        assert_eq!(dy.len(), cache.post.len(), "backward_input: bad dy length");
-        let dz: Vec<f64> = dy
-            .iter()
-            .zip(cache.pre.iter().zip(&cache.post))
+    /// Panics if `dy.len()` differs from the cached output size.
+    pub fn input_grad_rows(&self, cache: &DenseBatchCache, dy: &[f64]) -> Vec<f64> {
+        let dz = self.output_grad_rows(cache, dy);
+        self.input_rows(&dz)
+    }
+
+    /// Pre-activation gradients `dy ⊙ act'(pre)` of every cached row.
+    fn output_grad_rows(&self, cache: &DenseBatchCache, dy: &[f64]) -> Vec<f64> {
+        assert_eq!(dy.len(), cache.post.len(), "backward_rows: bad dy length");
+        dy.iter()
+            .zip(cache.pre.as_slice().iter().zip(cache.post.as_slice()))
             .map(|(&d, (&z, &y))| d * self.activation.derivative(z, y))
-            .collect();
-        self.weight.matvec_transpose(&dz)
+            .collect()
+    }
+
+    /// `dz · W` for every row.
+    fn input_rows(&self, dz: &[f64]) -> Vec<f64> {
+        let mut dx = vec![0.0; dz.len() / self.output_size() * self.input_size()];
+        self.weight.matvec_transpose_rows_into(dz, &mut dx);
+        dx
     }
 
     /// Backpropagates `dy` (gradient w.r.t. the layer output), accumulating
@@ -304,6 +312,44 @@ mod tests {
     fn backward_without_forward_panics() {
         let mut l = layer();
         let _ = l.backward(&[1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn row_batch_matches_per_row_calls_bitwise() {
+        let l = layer();
+        let xs: Vec<Vec<f64>> = (0..5)
+            .map(|r| (0..4).map(|c| ((r * 4 + c) as f64 * 0.41).sin()).collect())
+            .collect();
+        let dys: Vec<Vec<f64>> = (0..5)
+            .map(|r| {
+                (0..3)
+                    .map(|c| {
+                        if (r + c) % 4 == 0 {
+                            0.0
+                        } else {
+                            (r + c) as f64 * 0.1
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let rows: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
+        let cache = l.forward_rows(Matrix::from_rows(&rows));
+        let mut batched = l.clone();
+        batched.zero_grads();
+        let dx = batched.backward_rows(&cache, &dys.concat());
+        assert_eq!(dx, l.input_grad_rows(&cache, &dys.concat()));
+        let mut single = l.clone();
+        single.zero_grads();
+        for (r, (x, dy)) in xs.iter().zip(&dys).enumerate() {
+            let y = single.forward(x);
+            assert_eq!(y.as_slice(), cache.outputs().row(r));
+            let d = single.backward(dy);
+            assert_eq!(d.as_slice(), &dx[r * 4..(r + 1) * 4]);
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&batched.grad_weight), bits(&single.grad_weight));
+        assert_eq!(bits(&batched.grad_bias), bits(&single.grad_bias));
     }
 
     #[test]

@@ -2,8 +2,8 @@ use lgo_tensor::Matrix;
 use rand::RngExt;
 
 use crate::activation::Activation;
-use crate::dense::Dense;
-use crate::lstm::{LstmCell, LstmState, LstmTrace};
+use crate::dense::{Dense, DenseBatchCache};
+use crate::lstm::{flatten_rows, unflatten_rows, LstmBatchTrace, LstmCell};
 use crate::optimizer::Trainable;
 
 /// An LSTM sequence classifier emitting one probability per window — the
@@ -28,19 +28,33 @@ pub struct LstmDiscriminator {
     head: Dense,
 }
 
-/// Forward trace of a discriminator pass, consumed by
+/// Forward trace of a batch of equal-length windows through a
+/// [`LstmDiscriminator`], consumed by [`LstmDiscriminator::backward_flat`]
+/// and [`LstmDiscriminator::input_grad_flat`].
+#[derive(Debug, Clone)]
+pub struct DiscriminatorBatchTrace {
+    lstm: LstmBatchTrace,
+    head: DenseBatchCache,
+}
+
+impl DiscriminatorBatchTrace {
+    /// The probability emitted for each window, in batch order.
+    pub fn probabilities(&self) -> &[f64] {
+        self.head.outputs().as_slice()
+    }
+}
+
+/// Forward trace of a single-window discriminator pass, consumed by
 /// [`LstmDiscriminator::backward`].
 #[derive(Debug, Clone)]
 pub struct DiscriminatorTrace {
-    lstm: LstmTrace,
-    head: crate::dense::DenseCache,
-    probability: f64,
+    inner: DiscriminatorBatchTrace,
 }
 
 impl DiscriminatorTrace {
     /// The probability emitted by the forward pass.
     pub fn probability(&self) -> f64 {
-        self.probability
+        self.inner.probabilities()[0]
     }
 }
 
@@ -62,6 +76,79 @@ impl LstmDiscriminator {
         self.cell.input_size()
     }
 
+    /// Runs `batch` windows of `len` rows at once (`xs` flat, row
+    /// `b * len + t` = window `b`'s row `t`), retaining what the backward
+    /// passes need. Each probability is bit-for-bit the single-window
+    /// [`Self::probability`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len == 0` or `xs.len() != batch * len * input_size()`.
+    pub fn forward_flat(&self, xs: &[f64], batch: usize, len: usize) -> DiscriminatorBatchTrace {
+        assert!(len > 0, "forward: empty window");
+        let lstm = self.cell.forward_flat(xs, batch, len);
+        let hidden = self.cell.hidden_size();
+        let mut last = Vec::with_capacity(batch * hidden);
+        for b in 0..batch {
+            last.extend_from_slice(lstm.last_hidden(b));
+        }
+        let head = self
+            .head
+            .forward_rows(Matrix::from_vec(batch, hidden, last));
+        DiscriminatorBatchTrace { lstm, head }
+    }
+
+    /// Pure inference over a batch: the probability that each window is
+    /// *real*.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len == 0` or `xs.len() != batch * len * input_size()`.
+    pub fn probabilities(&self, xs: &[f64], batch: usize, len: usize) -> Vec<f64> {
+        self.forward_flat(xs, batch, len).probabilities().to_vec()
+    }
+
+    /// Backpropagates one probability gradient per window, accumulating
+    /// parameter gradients in the order of one [`Self::backward`] call per
+    /// window (window ascending; within the cell, timestep descending).
+    /// Input gradients are not formed; see [`Self::input_grad_flat`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dprobs.len()` differs from the batch size.
+    pub fn backward_flat(&mut self, trace: &DiscriminatorBatchTrace, dprobs: &[f64]) {
+        let dlast = self.head.backward_rows(&trace.head, dprobs);
+        let dh = self.last_step_gradients(trace, &dlast);
+        self.cell.backward_flat(&trace.lstm, &dh);
+    }
+
+    /// Gradient of `Σ dprobs[b] · probability[b]` with respect to every
+    /// input row of a batch trace (trace row layout) — a *pure* pass
+    /// through `&self` that leaves the parameter-gradient accumulators
+    /// untouched. This is the path through which the MAD-GAN generator
+    /// receives its gradients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dprobs.len()` differs from the batch size.
+    pub fn input_grad_flat(&self, trace: &DiscriminatorBatchTrace, dprobs: &[f64]) -> Vec<f64> {
+        let dlast = self.head.input_grad_rows(&trace.head, dprobs);
+        let dh = self.last_step_gradients(trace, &dlast);
+        self.cell.input_grad_flat(&trace.lstm, &dh)
+    }
+
+    /// Hidden-state gradients of a batch: `dlast[b]` on each window's
+    /// final step, zero elsewhere.
+    fn last_step_gradients(&self, trace: &DiscriminatorBatchTrace, dlast: &[f64]) -> Vec<f64> {
+        let (len, hidden) = (trace.lstm.len(), self.cell.hidden_size());
+        let mut dh = vec![0.0; trace.lstm.batch_size() * len * hidden];
+        for (b, d) in dlast.chunks_exact(hidden).enumerate() {
+            let r = b * len + len - 1;
+            dh[r * hidden..(r + 1) * hidden].copy_from_slice(d);
+        }
+        dh
+    }
+
     /// Probability that the window is *real* (pure inference).
     ///
     /// # Panics
@@ -69,50 +156,47 @@ impl LstmDiscriminator {
     /// Panics if the window is empty or row widths mismatch.
     pub fn probability(&self, window: &[Vec<f64>]) -> f64 {
         assert!(!window.is_empty(), "probability: empty window");
-        let mut state = LstmState::zeros(self.cell.hidden_size());
-        for x in window {
-            state = self.cell.step(x, &state);
-        }
-        self.head.infer(&state.h)[0]
+        self.forward(window).probability()
     }
 
-    /// Forward pass retaining intermediates for [`Self::backward`].
+    /// Forward pass retaining intermediates for [`Self::backward`]: a
+    /// batch of one through [`Self::forward_flat`].
     ///
     /// # Panics
     ///
     /// Panics if the window is empty.
     pub fn forward(&self, window: &[Vec<f64>]) -> DiscriminatorTrace {
         assert!(!window.is_empty(), "forward: empty window");
-        let lstm = self.cell.forward_seq(window);
-        let (y, head) = self.head.forward_with_cache(lstm.last_hidden());
+        let flat = flatten_rows(window, self.input_size(), "LstmCell");
         DiscriminatorTrace {
-            lstm,
-            head,
-            probability: y[0],
+            inner: self.forward_flat(&flat, 1, window.len()),
         }
     }
 
     /// Backpropagates `dprob` (gradient of the loss w.r.t. the emitted
     /// probability), accumulating parameter gradients and returning the
-    /// gradient w.r.t. every input row — the path through which the MAD-GAN
-    /// generator (and the DR-Score reconstruction search) receives gradients.
+    /// gradient w.r.t. every input row.
     pub fn backward(&mut self, trace: &DiscriminatorTrace, dprob: f64) -> Vec<Vec<f64>> {
-        let dh_last = self.head.backward_from(&trace.head, &[dprob]);
-        let mut dhs = vec![vec![0.0; self.cell.hidden_size()]; trace.lstm.len()];
-        // lint: allow(L1): a DiscriminatorTrace always holds the rows forward ran over, one per input row
-        *dhs.last_mut().expect("nonempty trace") = dh_last;
-        self.cell.backward_seq(&trace.lstm, &dhs)
+        let dlast = self.head.backward_rows(&trace.inner.head, &[dprob]);
+        let dh = self.last_step_gradients(&trace.inner, &dlast);
+        let dx = self.cell.backward_flat_with_input(&trace.inner.lstm, &dh);
+        unflatten_rows(&dx, self.input_size())
     }
 
     /// Gradient of the emitted probability w.r.t. the input window, without
-    /// accumulating parameter gradients (used by the latent-inversion search
-    /// of the DR-Score). Implemented by cloning the parameter state, so it is
-    /// safe to call through `&self`.
+    /// accumulating parameter gradients: the pure
+    /// [`Self::input_grad_flat`] path on a batch of one, safe to call
+    /// through `&self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty or row widths mismatch.
     pub fn input_gradient(&self, window: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let mut scratch = self.clone();
-        let trace = scratch.forward(window);
-        scratch.zero_grads();
-        scratch.backward(&trace, 1.0)
+        let trace = self.forward(window);
+        unflatten_rows(
+            &self.input_grad_flat(&trace.inner, &[1.0]),
+            self.input_size(),
+        )
     }
 }
 
@@ -166,6 +250,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn batch_matches_single_windows_bitwise() {
+        let d = disc();
+        let windows: Vec<Vec<Vec<f64>>> = (0..4)
+            .map(|b| {
+                (0..6)
+                    .map(|t| vec![((b * 6 + t) as f64 * 0.4).sin(), 0.1 * b as f64])
+                    .collect()
+            })
+            .collect();
+        let flat: Vec<f64> = windows.iter().flatten().flatten().copied().collect();
+        let trace = d.forward_flat(&flat, 4, 6);
+        let dprobs = [0.5, -1.25, 0.0, 2.0];
+        let dx = d.input_grad_flat(&trace, &dprobs);
+        let mut batched = d.clone();
+        batched.zero_grads();
+        batched.backward_flat(&trace, &dprobs);
+        let mut single = d.clone();
+        single.zero_grads();
+        for (b, w) in windows.iter().enumerate() {
+            assert_eq!(
+                trace.probabilities()[b].to_bits(),
+                d.probability(w).to_bits()
+            );
+            let tr = single.forward(w);
+            let dxs = single.backward(&tr, dprobs[b]);
+            assert_eq!(dxs.concat().as_slice(), &dx[b * 12..(b + 1) * 12]);
+        }
+        let mut a = Vec::new();
+        batched.visit_params(&mut |_, g| a.extend(g.as_slice().iter().map(|v| v.to_bits())));
+        let mut s = Vec::new();
+        single.visit_params(&mut |_, g| s.extend(g.as_slice().iter().map(|v| v.to_bits())));
+        assert_eq!(a, s);
+        assert_eq!(d.probabilities(&flat, 4, 6), trace.probabilities());
     }
 
     #[test]

@@ -24,37 +24,120 @@ impl LstmState {
     }
 }
 
-/// Per-timestep cache retained for backpropagation through time.
+/// The forward trace of a batch of equal-length sequences through an
+/// [`LstmCell`], consumed by [`LstmCell::backward_flat`] and
+/// [`LstmCell::input_grad_flat`].
+///
+/// Every per-step quantity lives in one flat row-major buffer per kind,
+/// and row `b * len + t` holds sequence `b`'s timestep `t`. The previous
+/// hidden and cell states of a step are the preceding rows (zero at
+/// `t = 0`), so they are not stored twice.
 #[derive(Debug, Clone)]
-struct StepCache {
-    x: Vec<f64>,
-    h_prev: Vec<f64>,
-    c_prev: Vec<f64>,
-    i: Vec<f64>,
-    f: Vec<f64>,
-    g: Vec<f64>,
-    o: Vec<f64>,
+pub struct LstmBatchTrace {
+    batch: usize,
+    len: usize,
+    hidden: usize,
+    /// Inputs, `(batch·len) × input`.
+    x: Matrix,
+    /// Post-activation gates `i | f | g | o`, `(batch·len) × 4H`.
+    gates: Vec<f64>,
+    /// Cell states, `(batch·len) × H`.
     c: Vec<f64>,
+    /// `tanh` of the cell states, `(batch·len) × H`.
     tanh_c: Vec<f64>,
-    h: Vec<f64>,
+    /// Hidden states, `(batch·len) × H`.
+    h: Matrix,
 }
 
-/// The forward trace of a sequence through an [`LstmCell`], consumed by
-/// [`LstmCell::backward_seq`].
+impl LstmBatchTrace {
+    /// Number of sequences in the batch.
+    pub fn batch_size(&self) -> usize {
+        self.batch
+    }
+
+    /// Number of timesteps per sequence.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the trace holds no timestep at all.
+    pub fn is_empty(&self) -> bool {
+        self.batch == 0 || self.len == 0
+    }
+
+    /// The hidden state of sequence `b` after timestep `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` or `t` is out of range.
+    pub fn hidden(&self, b: usize, t: usize) -> &[f64] {
+        assert!(b < self.batch && t < self.len, "LstmBatchTrace: ({b}, {t}) out of range");
+        self.h.row(b * self.len + t)
+    }
+
+    /// The hidden state of sequence `b` after its final timestep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is out of range or the sequences are empty.
+    pub fn last_hidden(&self, b: usize) -> &[f64] {
+        assert!(self.len > 0, "LstmBatchTrace::last_hidden on empty sequences");
+        self.hidden(b, self.len - 1)
+    }
+
+    /// Every hidden state, one row per `(sequence, timestep)` in the
+    /// trace's row order.
+    pub fn hiddens(&self) -> &Matrix {
+        &self.h
+    }
+
+    /// The row whose hidden and cell state enter row `r`; `None` at
+    /// `t = 0`, where both are zero.
+    fn prev_row(&self, r: usize) -> Option<usize> {
+        (!r.is_multiple_of(self.len)).then(|| r - 1)
+    }
+
+    /// Splits a batch into single-sequence traces (copies each row range).
+    fn into_sequences(self) -> Vec<LstmTrace> {
+        let (len, hs, xw) = (self.len, self.hidden, self.x.cols());
+        (0..self.batch)
+            .map(|b| {
+                let rows = b * len..(b + 1) * len;
+                let slice = |v: &[f64], w: usize| v[rows.start * w..rows.end * w].to_vec();
+                LstmTrace {
+                    inner: LstmBatchTrace {
+                        batch: 1,
+                        len,
+                        hidden: hs,
+                        x: Matrix::from_vec(len, xw, slice(self.x.as_slice(), xw)),
+                        gates: slice(&self.gates, 4 * hs),
+                        c: slice(&self.c, hs),
+                        tanh_c: slice(&self.tanh_c, hs),
+                        h: Matrix::from_vec(len, hs, slice(self.h.as_slice(), hs)),
+                    },
+                }
+            })
+            .collect()
+    }
+}
+
+/// The forward trace of a single sequence through an [`LstmCell`],
+/// consumed by [`LstmCell::backward_seq`]: an [`LstmBatchTrace`] holding
+/// one sequence.
 #[derive(Debug, Clone)]
 pub struct LstmTrace {
-    steps: Vec<StepCache>,
+    inner: LstmBatchTrace,
 }
 
 impl LstmTrace {
     /// Number of timesteps in the trace.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.inner.len
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.inner.len == 0
     }
 
     /// The hidden state after timestep `t`.
@@ -63,7 +146,7 @@ impl LstmTrace {
     ///
     /// Panics if `t` is out of range.
     pub fn hidden(&self, t: usize) -> &[f64] {
-        &self.steps[t].h
+        self.inner.hidden(0, t)
     }
 
     /// The hidden state after the final timestep.
@@ -72,18 +155,32 @@ impl LstmTrace {
     ///
     /// Panics if the trace is empty.
     pub fn last_hidden(&self) -> &[f64] {
-        &self
-            .steps
-            .last()
-            // lint: allow(L1): documented # Panics contract on an empty trace
-            .expect("LstmTrace::last_hidden on empty trace")
-            .h
+        assert!(!self.is_empty(), "LstmTrace::last_hidden on empty trace");
+        self.inner.last_hidden(0)
     }
 
     /// All hidden states, one per timestep.
     pub fn hiddens(&self) -> Vec<Vec<f64>> {
-        self.steps.iter().map(|s| s.h.clone()).collect()
+        self.inner.h.iter_rows().map(<[f64]>::to_vec).collect()
     }
+}
+
+/// Flattens time-major rows into one buffer, checking every row's width.
+pub(crate) fn flatten_rows(rows: &[Vec<f64>], width: usize, context: &str) -> Vec<f64> {
+    let mut flat = Vec::with_capacity(rows.len() * width);
+    for r in rows {
+        assert_eq!(r.len(), width, "{context}: input width mismatch");
+        flat.extend_from_slice(r);
+    }
+    flat
+}
+
+/// Splits a flat buffer into rows of `width`.
+pub(crate) fn unflatten_rows(flat: &[f64], width: usize) -> Vec<Vec<f64>> {
+    if width == 0 {
+        return Vec::new();
+    }
+    flat.chunks_exact(width).map(<[f64]>::to_vec).collect()
 }
 
 /// A single-layer LSTM cell with full backpropagation through time.
@@ -157,62 +254,40 @@ impl LstmCell {
         self.hidden
     }
 
-    fn step_internal(&self, x: &[f64], state: &LstmState) -> StepCache {
-        assert_eq!(x.len(), self.input, "LstmCell: input width mismatch");
-        let z = self.w_x.matvec(x);
-        let zh = self.w_h.matvec(&state.h);
-        self.finish_step(z, &zh, x, &state.h, &state.c)
-    }
-
     /// Applies the recurrent/bias combine and the gate nonlinearities to a
-    /// precomputed input-side product `z = W_x x`. Shared verbatim by the
+    /// precomputed input-side product `z = W_x x`, writing the gates, cell,
+    /// `tanh(cell)` and hidden state of one step. Shared verbatim by the
     /// stepwise and batched forward paths, so both produce identical bits
     /// for every gate, cell and hidden value.
-    fn finish_step(
+    #[allow(clippy::too_many_arguments)]
+    fn gate_combine(
         &self,
-        mut z: Vec<f64>,
+        z: &mut [f64],
         zh: &[f64],
-        x: &[f64],
-        h_prev: &[f64],
         c_prev: &[f64],
-    ) -> StepCache {
+        gates: &mut [f64],
+        c: &mut [f64],
+        tanh_c: &mut [f64],
+        h_out: &mut [f64],
+    ) {
         let h = self.hidden;
         for ((zi, &zhi), &bi) in z.iter_mut().zip(zh).zip(self.b.as_slice()) {
             *zi += zhi + bi;
         }
-        let mut i = vec![0.0; h];
-        let mut f = vec![0.0; h];
-        let mut g = vec![0.0; h];
-        let mut o = vec![0.0; h];
         for j in 0..h {
-            i[j] = sigmoid(z[j]);
-            f[j] = sigmoid(z[h + j]);
-            g[j] = z[2 * h + j].tanh();
-            o[j] = sigmoid(z[3 * h + j]);
+            gates[j] = sigmoid(z[j]);
+            gates[h + j] = sigmoid(z[h + j]);
+            gates[2 * h + j] = z[2 * h + j].tanh();
+            gates[3 * h + j] = sigmoid(z[3 * h + j]);
         }
-        let mut c = vec![0.0; h];
-        let mut tanh_c = vec![0.0; h];
-        let mut h_out = vec![0.0; h];
         for j in 0..h {
-            c[j] = f[j] * c_prev[j] + i[j] * g[j];
+            c[j] = gates[h + j] * c_prev[j] + gates[j] * gates[2 * h + j];
             tanh_c[j] = c[j].tanh();
-            h_out[j] = o[j] * tanh_c[j];
+            h_out[j] = gates[3 * h + j] * tanh_c[j];
         }
-        lgo_tensor::sanitize::check_finite(&z, "LstmCell gate pre-activations");
-        lgo_tensor::sanitize::check_finite(&c, "LstmCell cell state");
-        lgo_tensor::sanitize::check_finite(&h_out, "LstmCell hidden state");
-        StepCache {
-            x: x.to_vec(),
-            h_prev: h_prev.to_vec(),
-            c_prev: c_prev.to_vec(),
-            i,
-            f,
-            g,
-            o,
-            c,
-            tanh_c,
-            h: h_out,
-        }
+        lgo_tensor::sanitize::check_finite(z, "LstmCell gate pre-activations");
+        lgo_tensor::sanitize::check_finite(c, "LstmCell cell state");
+        lgo_tensor::sanitize::check_finite(h_out, "LstmCell hidden state");
     }
 
     /// Advances the state by one input, returning the next state (pure
@@ -223,43 +298,44 @@ impl LstmCell {
     /// Panics if `x.len() != self.input_size()` or the state width differs.
     pub fn step(&self, x: &[f64], state: &LstmState) -> LstmState {
         assert_eq!(state.h.len(), self.hidden, "LstmCell: state width mismatch");
-        let cache = self.step_internal(x, state);
-        LstmState {
-            h: cache.h,
-            c: cache.c,
-        }
+        assert_eq!(x.len(), self.input, "LstmCell: input width mismatch");
+        let h = self.hidden;
+        let mut z = self.w_x.matvec(x);
+        let zh = self.w_h.matvec(&state.h);
+        let mut gates = vec![0.0; 4 * h];
+        let mut next = LstmState::zeros(h);
+        let mut tanh_c = vec![0.0; h];
+        self.gate_combine(
+            &mut z,
+            &zh,
+            &state.c,
+            &mut gates,
+            &mut next.c,
+            &mut tanh_c,
+            &mut next.h,
+        );
+        next
     }
 
     /// Runs a whole sequence from the zero state, retaining the trace needed
-    /// for [`Self::backward_seq`].
-    ///
-    /// Routed through [`Self::forward_batch`], so the input-side gate
-    /// products go through one tiled matmul instead of a matvec per
-    /// timestep; the trace is bit-identical to the stepwise loop.
+    /// for [`Self::backward_seq`]. A batch of one through
+    /// [`Self::forward_flat`].
     ///
     /// # Panics
     ///
     /// Panics if any input row has the wrong width.
     pub fn forward_seq(&self, xs: &[Vec<f64>]) -> LstmTrace {
-        let mut traces = self.forward_batch(&[xs]);
-        // lint: allow(L1): forward_batch returns one trace per sequence
-        traces.pop().expect("one trace for one sequence")
+        let flat = flatten_rows(xs, self.input, "LstmCell");
+        LstmTrace {
+            inner: self.forward_rows(flat, 1, xs.len()),
+        }
     }
 
     /// Runs several sequences from the zero state at once, returning one
     /// trace per sequence (in input order).
     ///
-    /// This is the batched hot path: the input-side gate products of every
-    /// sequence and timestep are computed by a single tiled
-    /// [`Matrix::matmul_nt`], and the recurrent products of each timestep
-    /// are batched across sequences. Each output row of those products is
-    /// bitwise identical to the corresponding `matvec` (pinned by
-    /// lgo-tensor tests) and the scalar gate combine is shared with the
-    /// stepwise path, so every trace is bit-for-bit what
-    /// [`Self::forward_seq`]'s naive loop would produce.
-    ///
-    /// Sequences of different lengths are grouped internally; the batching
-    /// applies within each length group.
+    /// Sequences of different lengths are grouped internally; each length
+    /// group runs as one [`Self::forward_flat`] batch.
     ///
     /// # Panics
     ///
@@ -271,14 +347,12 @@ impl LstmCell {
             by_len.entry(s.len()).or_default().push(k);
         }
         for (t_len, idxs) in by_len {
-            if t_len == 0 {
-                for k in idxs {
-                    out[k] = Some(LstmTrace { steps: Vec::new() });
-                }
-                continue;
+            let mut flat = Vec::with_capacity(idxs.len() * t_len * self.input);
+            for &k in &idxs {
+                flat.extend(flatten_rows(seqs[k], self.input, "LstmCell"));
             }
-            let group: Vec<&[Vec<f64>]> = idxs.iter().map(|&k| seqs[k]).collect();
-            for (k, trace) in idxs.into_iter().zip(self.forward_batch_uniform(&group, t_len)) {
+            let traces = self.forward_rows(flat, idxs.len(), t_len).into_sequences();
+            for (k, trace) in idxs.into_iter().zip(traces) {
                 out[k] = Some(trace);
             }
         }
@@ -288,47 +362,118 @@ impl LstmCell {
             .collect()
     }
 
-    /// [`Self::forward_batch`] for sequences of one shared length `t_len`.
-    fn forward_batch_uniform(&self, seqs: &[&[Vec<f64>]], t_len: usize) -> Vec<LstmTrace> {
-        let bsz = seqs.len();
-        for s in seqs {
-            for x in *s {
-                assert_eq!(x.len(), self.input, "LstmCell: input width mismatch");
-            }
-        }
-        // Stack every timestep of every sequence (row b*t_len + t) and push
-        // the whole block through one tiled product against W_x.
-        let rows: Vec<&[f64]> = seqs.iter().flat_map(|s| s.iter().map(Vec::as_slice)).collect();
-        let zx_all = Matrix::from_rows(&rows).matmul_nt(&self.w_x);
-        let mut h_prev = Matrix::zeros(bsz, self.hidden);
-        let mut c_prev = vec![vec![0.0; self.hidden]; bsz];
-        let mut traces: Vec<LstmTrace> = (0..bsz)
-            .map(|_| LstmTrace { steps: Vec::with_capacity(t_len) })
-            .collect();
-        // Time-major walk: `t` indexes into every sequence inside the
-        // nested batch loop, so an enumerate over one of them misleads.
-        #[allow(clippy::needless_range_loop)]
-        for t in 0..t_len {
-            // All recurrent products for this timestep in one (B, 4H)
-            // product; the time dependency makes this the batching limit.
-            let zh_all = h_prev.matmul_nt(&self.w_h);
-            for b in 0..bsz {
-                let cache = self.finish_step(
-                    zx_all.row(b * t_len + t).to_vec(),
-                    zh_all.row(b),
-                    &seqs[b][t],
-                    h_prev.row(b),
-                    &c_prev[b],
-                );
-                h_prev.row_mut(b).copy_from_slice(&cache.h);
-                c_prev[b].copy_from_slice(&cache.c);
-                traces[b].steps.push(cache);
-            }
-        }
-        traces
+    /// Runs `batch` sequences of `len` steps each from the zero state.
+    /// `xs` holds them back to back, time-major within each sequence:
+    /// row `b * len + t` (of width `input_size()`) is sequence `b`'s
+    /// input at step `t`.
+    ///
+    /// This is the batched hot path: the input-side gate products of every
+    /// sequence and timestep are computed by a single tiled
+    /// [`Matrix::matmul_nt`], and the recurrent products of each timestep
+    /// are batched across sequences. Each output row of those products is
+    /// bitwise identical to the corresponding `matvec` (pinned by
+    /// lgo-tensor tests) and the scalar gate combine is shared with
+    /// [`Self::step`], so every trace row is bit-for-bit what the
+    /// stepwise loop produces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.len() != batch * len * input_size()`.
+    pub fn forward_flat(&self, xs: &[f64], batch: usize, len: usize) -> LstmBatchTrace {
+        self.forward_rows(xs.to_vec(), batch, len)
     }
 
-    /// Backpropagation through time.
+    /// [`Self::forward_flat`] on an owned input buffer.
+    fn forward_rows(&self, xs: Vec<f64>, batch: usize, len: usize) -> LstmBatchTrace {
+        let rows = batch * len;
+        assert_eq!(
+            xs.len(),
+            rows * self.input,
+            "LstmCell: {} inputs for {batch} sequences of {len} steps of width {}",
+            xs.len(),
+            self.input
+        );
+        let (hs, g4) = (self.hidden, 4 * self.hidden);
+        let mut trace = LstmBatchTrace {
+            batch,
+            len,
+            hidden: hs,
+            x: Matrix::from_vec(rows, self.input, xs),
+            gates: vec![0.0; rows * g4],
+            c: vec![0.0; rows * hs],
+            tanh_c: vec![0.0; rows * hs],
+            h: Matrix::zeros(rows, hs),
+        };
+        if rows == 0 {
+            return trace;
+        }
+        let zx = trace.x.matmul_nt(&self.w_x);
+        let mut h_prev = Matrix::zeros(batch, hs);
+        let zero_c = vec![0.0; hs];
+        let mut z = vec![0.0; g4];
+        for t in 0..len {
+            // All recurrent products for this timestep in one (B, 4H)
+            // product; the time dependency makes this the batching limit.
+            let zh = h_prev.matmul_nt(&self.w_h);
+            for b in 0..batch {
+                let r = b * len + t;
+                z.copy_from_slice(zx.row(r));
+                let (done, rest) = trace.c.split_at_mut(r * hs);
+                let c_prev = if t == 0 { &zero_c[..] } else { &done[(r - 1) * hs..] };
+                self.gate_combine(
+                    &mut z,
+                    zh.row(b),
+                    c_prev,
+                    &mut trace.gates[r * g4..(r + 1) * g4],
+                    &mut rest[..hs],
+                    &mut trace.tanh_c[r * hs..(r + 1) * hs],
+                    trace.h.row_mut(r),
+                );
+                h_prev.row_mut(b).copy_from_slice(trace.h.row(r));
+            }
+        }
+        trace
+    }
+
+    /// Backpropagation through time over a batch, accumulating parameter
+    /// gradients. `dh` (same row layout as the trace, width
+    /// `hidden_size()`) is the gradient of the loss with respect to every
+    /// emitted hidden state (zero rows for unused steps).
+    ///
+    /// The gradient of each weight entry accumulates in the order of a
+    /// per-sequence [`Self::backward_seq`] loop — sequence ascending, then
+    /// timestep descending — so the sums keep their bits. Input gradients
+    /// are not formed; see [`Self::input_grad_flat`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dh` does not hold one hidden-width row per trace row.
+    pub fn backward_flat(&mut self, trace: &LstmBatchTrace, dh: &[f64]) {
+        let dz = bptt_dz(&self.w_h, trace, dh);
+        self.accumulate(trace, &dz);
+    }
+
+    /// Pure input-gradient BPTT over a batch: the gradient with respect to
+    /// every input row (same row layout as the trace), without touching
+    /// the parameter-gradient accumulators, so shared read-only cells can
+    /// compute d-loss/d-input through `&self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dh` does not hold one hidden-width row per trace row.
+    pub fn input_grad_flat(&self, trace: &LstmBatchTrace, dh: &[f64]) -> Vec<f64> {
+        let dz = bptt_dz(&self.w_h, trace, dh);
+        self.input_products(&dz)
+    }
+
+    /// [`Self::backward_flat`] that also returns the input gradients.
+    pub(crate) fn backward_flat_with_input(&mut self, trace: &LstmBatchTrace, dh: &[f64]) -> Vec<f64> {
+        let dz = bptt_dz(&self.w_h, trace, dh);
+        self.accumulate(trace, &dz);
+        self.input_products(&dz)
+    }
+
+    /// Backpropagation through time for one sequence.
     ///
     /// `dh[t]` is the gradient of the loss with respect to the hidden state
     /// emitted at timestep `t` (zero vectors for unused steps). Gradients
@@ -340,17 +485,9 @@ impl LstmCell {
     /// Panics if `dh.len() != trace.len()` or any gradient row has the wrong
     /// width.
     pub fn backward_seq(&mut self, trace: &LstmTrace, dh: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let Self {
-            input,
-            hidden,
-            w_x,
-            w_h,
-            gw_x,
-            gw_h,
-            gb,
-            ..
-        } = self;
-        bptt_impl(w_x, w_h, *input, *hidden, trace, dh, Some((gw_x, gw_h, gb)))
+        let dh = self.flatten_dh(trace, dh);
+        let dx = self.backward_flat_with_input(&trace.inner, &dh);
+        unflatten_rows(&dx, self.input)
     }
 
     /// Pure input-gradient BPTT: like [`Self::backward_seq`] but without
@@ -363,64 +500,119 @@ impl LstmCell {
     /// Panics if `dh.len() != trace.len()` or any gradient row has the wrong
     /// width.
     pub fn input_grad_seq(&self, trace: &LstmTrace, dh: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        bptt_impl(&self.w_x, &self.w_h, self.input, self.hidden, trace, dh, None)
+        let dh = self.flatten_dh(trace, dh);
+        unflatten_rows(&self.input_grad_flat(&trace.inner, &dh), self.input)
+    }
+
+    fn flatten_dh(&self, trace: &LstmTrace, dh: &[Vec<f64>]) -> Vec<f64> {
+        assert_eq!(
+            dh.len(),
+            trace.len(),
+            "backward_seq: {} gradients for {} steps",
+            dh.len(),
+            trace.len()
+        );
+        let mut flat = Vec::with_capacity(dh.len() * self.hidden);
+        for (t, row) in dh.iter().enumerate() {
+            assert_eq!(row.len(), self.hidden, "backward_seq: bad dh width at {t}");
+            flat.extend_from_slice(row);
+        }
+        flat
+    }
+
+    /// Accumulates the parameter gradients of a batch from its gate
+    /// gradients, in per-sequence order: sequence ascending, then timestep
+    /// descending, exactly as one `backward_seq` call per sequence would.
+    fn accumulate(&mut self, trace: &LstmBatchTrace, dz: &[f64]) {
+        let (len, hs, g4) = (trace.len, self.hidden, 4 * self.hidden);
+        let zero_h = vec![0.0; hs];
+        for b in 0..trace.batch {
+            for t in (0..len).rev() {
+                let r = b * len + t;
+                let dzr = &dz[r * g4..(r + 1) * g4];
+                let h_prev = match trace.prev_row(r) {
+                    Some(p) => trace.h.row(p),
+                    None => &zero_h[..],
+                };
+                self.gw_x.add_outer(dzr, trace.x.row(r), 1.0);
+                self.gw_h.add_outer(dzr, h_prev, 1.0);
+                for (gb, &d) in self.gb.as_mut_slice().iter_mut().zip(dzr) {
+                    *gb += d;
+                }
+            }
+        }
+    }
+
+    /// `dz · W_x` for every row: the gradient with respect to each input.
+    fn input_products(&self, dz: &[f64]) -> Vec<f64> {
+        let mut dx = vec![0.0; dz.len() / (4 * self.hidden) * self.input];
+        self.w_x.matvec_transpose_rows_into(dz, &mut dx);
+        dx
     }
 }
 
-/// The BPTT core shared by the accumulating and pure paths: walks the trace
-/// backwards and returns per-timestep input gradients; when `grads` is
-/// `Some`, parameter gradients accumulate into the `(gw_x, gw_h, gb)` sinks.
-fn bptt_impl(
-    w_x: &Matrix,
-    w_h: &Matrix,
-    input: usize,
-    hidden: usize,
-    trace: &LstmTrace,
-    dh: &[Vec<f64>],
-    mut grads: Option<(&mut Matrix, &mut Matrix, &mut Matrix)>,
-) -> Vec<Vec<f64>> {
+/// The BPTT core shared by every backward path: walks the batch backwards
+/// in time and returns the gate pre-activation gradients `dz` of every row
+/// (trace row layout, width 4H). The recurrent products `dz_t · W_h` run
+/// batched across sequences once per timestep.
+fn bptt_dz(w_h: &Matrix, trace: &LstmBatchTrace, dh: &[f64]) -> Vec<f64> {
+    let (batch, len, hs) = (trace.batch, trace.len, trace.hidden);
+    let g4 = 4 * hs;
+    let rows = batch * len;
     assert_eq!(
         dh.len(),
-        trace.len(),
-        "backward_seq: {} gradients for {} steps",
-        dh.len(),
-        trace.len()
+        rows * hs,
+        "backward: {} hidden gradients for {rows} steps of width {hs}",
+        dh.len()
     );
-    let hsz = hidden;
-    let mut dxs = vec![vec![0.0; input]; trace.len()];
-    let mut dh_next = vec![0.0; hsz];
-    let mut dc_next = vec![0.0; hsz];
-    for t in (0..trace.len()).rev() {
-        let s = &trace.steps[t];
-        assert_eq!(dh[t].len(), hsz, "backward_seq: bad dh width at {t}");
-        // Total gradient into h_t: external + recurrent.
-        let dht: Vec<f64> = dh[t].iter().zip(&dh_next).map(|(&a, &b)| a + b).collect();
-        let mut dz = vec![0.0; 4 * hsz];
-        let mut dc_prev = vec![0.0; hsz];
-        for j in 0..hsz {
-            let do_ = dht[j] * s.tanh_c[j];
-            let dct = dc_next[j] + dht[j] * s.o[j] * (1.0 - s.tanh_c[j] * s.tanh_c[j]);
-            let di = dct * s.g[j];
-            let df = dct * s.c_prev[j];
-            let dg = dct * s.i[j];
-            dc_prev[j] = dct * s.f[j];
-            dz[j] = di * s.i[j] * (1.0 - s.i[j]);
-            dz[hsz + j] = df * s.f[j] * (1.0 - s.f[j]);
-            dz[2 * hsz + j] = dg * (1.0 - s.g[j] * s.g[j]);
-            dz[3 * hsz + j] = do_ * s.o[j] * (1.0 - s.o[j]);
-        }
-        if let Some((gw_x, gw_h, gb)) = grads.as_mut() {
-            gw_x.add_outer(&dz, &s.x, 1.0);
-            gw_h.add_outer(&dz, &s.h_prev, 1.0);
-            for (gb, &d) in gb.as_mut_slice().iter_mut().zip(&dz) {
-                *gb += d;
+    lgo_tensor::sanitize::check_finite(dh, "LstmCell hidden gradients");
+    let mut dz = vec![0.0; rows * g4];
+    // Gate gradients of the current timestep, one contiguous row per
+    // sequence, so the recurrent product runs as one batched call.
+    let mut dz_t = vec![0.0; batch * g4];
+    let mut dh_next = vec![0.0; batch * hs];
+    let mut dc_next = vec![0.0; batch * hs];
+    let zero_c = vec![0.0; hs];
+    for t in (0..len).rev() {
+        for b in 0..batch {
+            let r = b * len + t;
+            let gates = &trace.gates[r * g4..(r + 1) * g4];
+            let (i, f, g, o) = (
+                &gates[..hs],
+                &gates[hs..2 * hs],
+                &gates[2 * hs..3 * hs],
+                &gates[3 * hs..],
+            );
+            let tanh_c = &trace.tanh_c[r * hs..(r + 1) * hs];
+            let c_prev = match trace.prev_row(r) {
+                Some(p) => &trace.c[p * hs..(p + 1) * hs],
+                None => &zero_c[..],
+            };
+            let dh_r = &dh[r * hs..(r + 1) * hs];
+            let dhn = &dh_next[b * hs..(b + 1) * hs];
+            let dcn = &mut dc_next[b * hs..(b + 1) * hs];
+            let dzr = &mut dz_t[b * g4..(b + 1) * g4];
+            for j in 0..hs {
+                // Total gradient into h_t: external + recurrent.
+                let dht = dh_r[j] + dhn[j];
+                let do_ = dht * tanh_c[j];
+                let dct = dcn[j] + dht * o[j] * (1.0 - tanh_c[j] * tanh_c[j]);
+                let di = dct * g[j];
+                let df = dct * c_prev[j];
+                let dg = dct * i[j];
+                dcn[j] = dct * f[j];
+                dzr[j] = di * i[j] * (1.0 - i[j]);
+                dzr[hs + j] = df * f[j] * (1.0 - f[j]);
+                dzr[2 * hs + j] = dg * (1.0 - g[j] * g[j]);
+                dzr[3 * hs + j] = do_ * o[j] * (1.0 - o[j]);
             }
+            dz[r * g4..(r + 1) * g4].copy_from_slice(dzr);
         }
-        dxs[t] = w_x.matvec_transpose(&dz);
-        dh_next = w_h.matvec_transpose(&dz);
-        dc_next = dc_prev;
+        if t > 0 {
+            w_h.matvec_transpose_rows_into(&dz_t, &mut dh_next);
+        }
     }
-    dxs
+    dz
 }
 
 impl Trainable for LstmCell {
@@ -637,5 +829,178 @@ mod tests {
         let c = cell(2, 3);
         let t = c.forward_seq(&[]);
         assert!(t.is_empty());
+    }
+
+    /// The stepwise reference the batched paths replaced: one cache of
+    /// owned vectors per timestep, `matvec` products, and a per-sequence
+    /// BPTT that accumulates with `add_outer` as it walks back in time.
+    mod reference {
+        use super::super::*;
+
+        pub struct Step {
+            x: Vec<f64>,
+            h_prev: Vec<f64>,
+            c_prev: Vec<f64>,
+            i: Vec<f64>,
+            f: Vec<f64>,
+            g: Vec<f64>,
+            o: Vec<f64>,
+            tanh_c: Vec<f64>,
+            pub h: Vec<f64>,
+        }
+
+        pub fn forward(cell: &LstmCell, xs: &[Vec<f64>]) -> Vec<Step> {
+            let hs = cell.hidden;
+            let mut state = LstmState::zeros(hs);
+            let mut steps = Vec::new();
+            for x in xs {
+                let mut z = cell.w_x.matvec(x);
+                let zh = cell.w_h.matvec(&state.h);
+                for ((zi, &zhi), &bi) in z.iter_mut().zip(&zh).zip(cell.b.as_slice()) {
+                    *zi += zhi + bi;
+                }
+                let i: Vec<f64> = (0..hs).map(|j| sigmoid(z[j])).collect();
+                let f: Vec<f64> = (0..hs).map(|j| sigmoid(z[hs + j])).collect();
+                let g: Vec<f64> = (0..hs).map(|j| z[2 * hs + j].tanh()).collect();
+                let o: Vec<f64> = (0..hs).map(|j| sigmoid(z[3 * hs + j])).collect();
+                let c: Vec<f64> = (0..hs).map(|j| f[j] * state.c[j] + i[j] * g[j]).collect();
+                let tanh_c: Vec<f64> = c.iter().map(|v| v.tanh()).collect();
+                let h: Vec<f64> = (0..hs).map(|j| o[j] * tanh_c[j]).collect();
+                steps.push(Step {
+                    x: x.clone(),
+                    h_prev: state.h.clone(),
+                    c_prev: state.c.clone(),
+                    i,
+                    f,
+                    g,
+                    o,
+                    tanh_c,
+                    h: h.clone(),
+                });
+                state = LstmState { h, c };
+            }
+            steps
+        }
+
+        /// Returns the input gradients; accumulates into `grads`.
+        pub fn bptt(
+            cell: &LstmCell,
+            steps: &[Step],
+            dh: &[Vec<f64>],
+            grads: &mut (Matrix, Matrix, Matrix),
+        ) -> Vec<Vec<f64>> {
+            let hs = cell.hidden;
+            let mut dxs = vec![Vec::new(); steps.len()];
+            let mut dh_next = vec![0.0; hs];
+            let mut dc_next = vec![0.0; hs];
+            for t in (0..steps.len()).rev() {
+                let s = &steps[t];
+                let dht: Vec<f64> = dh[t].iter().zip(&dh_next).map(|(&a, &b)| a + b).collect();
+                let mut dz = vec![0.0; 4 * hs];
+                let mut dc_prev = vec![0.0; hs];
+                for j in 0..hs {
+                    let do_ = dht[j] * s.tanh_c[j];
+                    let dct = dc_next[j] + dht[j] * s.o[j] * (1.0 - s.tanh_c[j] * s.tanh_c[j]);
+                    let di = dct * s.g[j];
+                    let df = dct * s.c_prev[j];
+                    let dg = dct * s.i[j];
+                    dc_prev[j] = dct * s.f[j];
+                    dz[j] = di * s.i[j] * (1.0 - s.i[j]);
+                    dz[hs + j] = df * s.f[j] * (1.0 - s.f[j]);
+                    dz[2 * hs + j] = dg * (1.0 - s.g[j] * s.g[j]);
+                    dz[3 * hs + j] = do_ * s.o[j] * (1.0 - s.o[j]);
+                }
+                grads.0.add_outer(&dz, &s.x, 1.0);
+                grads.1.add_outer(&dz, &s.h_prev, 1.0);
+                for (gb, &d) in grads.2.as_mut_slice().iter_mut().zip(&dz) {
+                    *gb += d;
+                }
+                dxs[t] = cell.w_x.matvec_transpose(&dz);
+                dh_next = cell.w_h.matvec_transpose(&dz);
+                dc_next = dc_prev;
+            }
+            dxs
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn batched_forward_and_bptt_match_the_stepwise_reference_bitwise() {
+        let mut c = cell(3, 5);
+        let (batch, len) = (4, 7);
+        let seqs: Vec<Vec<Vec<f64>>> = (0..batch)
+            .map(|b| {
+                (0..len)
+                    .map(|t| (0..3).map(|j| ((b * 31 + t * 7 + j * 3) as f64 * 0.17).sin()).collect())
+                    .collect()
+            })
+            .collect();
+        // Sparse external gradients (zeros on most steps, as the
+        // discriminator feeds them) plus a dense last step.
+        let dhs: Vec<Vec<Vec<f64>>> = (0..batch)
+            .map(|b| {
+                (0..len)
+                    .map(|t| {
+                        (0..5)
+                            .map(|j| if t % 3 == 0 || t == len - 1 { ((b + t * j) as f64 * 0.3).cos() } else { 0.0 })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let flat_x: Vec<f64> = seqs.iter().flatten().flatten().copied().collect();
+        let flat_dh: Vec<f64> = dhs.iter().flatten().flatten().copied().collect();
+
+        let trace = c.forward_flat(&flat_x, batch, len);
+        let mut grads = (c.gw_x.clone(), c.gw_h.clone(), c.gb.clone());
+        let mut ref_dx = Vec::new();
+        for (b, (xs, dh)) in seqs.iter().zip(&dhs).enumerate() {
+            let steps = reference::forward(&c, xs);
+            for (t, s) in steps.iter().enumerate() {
+                assert_eq!(bits(&s.h), bits(trace.hidden(b, t)), "hidden ({b}, {t})");
+            }
+            ref_dx.extend(reference::bptt(&c, &steps, dh, &mut grads).into_iter().flatten());
+        }
+        assert_eq!(bits(&c.input_grad_flat(&trace, &flat_dh)), bits(&ref_dx));
+        c.zero_grads();
+        c.backward_flat(&trace, &flat_dh);
+        assert_eq!(bits(c.gw_x.as_slice()), bits(grads.0.as_slice()), "gw_x");
+        assert_eq!(bits(c.gw_h.as_slice()), bits(grads.1.as_slice()), "gw_h");
+        assert_eq!(bits(c.gb.as_slice()), bits(grads.2.as_slice()), "gb");
+        // The single-sequence path is a batch of one of the same code.
+        let mut single = c.clone();
+        single.zero_grads();
+        let t0 = single.forward_seq(&seqs[0]);
+        let dx0 = single.backward_seq(&t0, &dhs[0]);
+        let mut g0 = (c.gw_x.clone(), c.gw_h.clone(), c.gb.clone());
+        for m in [&mut g0.0, &mut g0.1, &mut g0.2] {
+            m.fill_zero();
+        }
+        let ref0 = reference::bptt(&c, &reference::forward(&c, &seqs[0]), &dhs[0], &mut g0);
+        assert_eq!(bits(&dx0.concat()), bits(&ref0.concat()));
+        assert_eq!(bits(single.gw_h.as_slice()), bits(g0.1.as_slice()));
+    }
+
+    #[test]
+    fn pure_input_gradient_leaves_accumulators_untouched() {
+        let c = cell(2, 3);
+        let trace = c.forward_flat(&[0.1, 0.2, 0.3, 0.4, -0.5, 0.6], 1, 3);
+        let mut probe = c.clone();
+        probe.zero_grads();
+        let _ = probe.input_grad_flat(&trace, &[1.0; 9]);
+        let mut total = 0.0;
+        probe.visit_params(&mut |_, g| total += g.sum().abs());
+        assert_eq!(total, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "hidden gradients for")]
+    fn backward_flat_checks_gradient_length() {
+        let mut c = cell(2, 3);
+        let trace = c.forward_flat(&[0.0; 8], 2, 2);
+        c.backward_flat(&trace, &[0.0; 3]);
     }
 }

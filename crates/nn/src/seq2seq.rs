@@ -2,8 +2,8 @@ use lgo_tensor::Matrix;
 use rand::RngExt;
 
 use crate::activation::Activation;
-use crate::dense::{Dense, DenseCache};
-use crate::lstm::{LstmCell, LstmTrace};
+use crate::dense::{Dense, DenseBatchCache};
+use crate::lstm::{flatten_rows, unflatten_rows, LstmBatchTrace, LstmCell};
 use crate::optimizer::Trainable;
 
 /// An LSTM followed by a shared per-timestep dense head — the generator
@@ -29,12 +29,29 @@ pub struct LstmSeq2Seq {
     head: Dense,
 }
 
-/// Forward trace of a [`LstmSeq2Seq`] pass, consumed by
+/// Forward trace of a batch of equal-length sequences through a
+/// [`LstmSeq2Seq`], consumed by [`LstmSeq2Seq::backward_flat`] and
+/// [`LstmSeq2Seq::input_grad_flat`]. Rows follow the
+/// [`LstmBatchTrace`] layout: row `b * len + t` is sequence `b`'s step `t`.
+#[derive(Debug, Clone)]
+pub struct Seq2SeqBatchTrace {
+    lstm: LstmBatchTrace,
+    head: DenseBatchCache,
+}
+
+impl Seq2SeqBatchTrace {
+    /// The generated rows, flat: one output-width row per
+    /// `(sequence, timestep)`.
+    pub fn outputs(&self) -> &[f64] {
+        self.head.outputs().as_slice()
+    }
+}
+
+/// Forward trace of a single-sequence [`LstmSeq2Seq`] pass, consumed by
 /// [`LstmSeq2Seq::backward`].
 #[derive(Debug, Clone)]
 pub struct Seq2SeqTrace {
-    lstm: LstmTrace,
-    heads: Vec<DenseCache>,
+    inner: Seq2SeqBatchTrace,
     outputs: Vec<Vec<f64>>,
 }
 
@@ -76,31 +93,74 @@ impl LstmSeq2Seq {
         self.head.output_size()
     }
 
-    /// Pure inference: maps an input sequence to an output sequence.
-    pub fn generate(&self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let trace = self.cell.forward_seq(xs);
-        trace
-            .hiddens()
-            .iter()
-            .map(|h| self.head.infer(h))
-            .collect()
+    /// Runs `batch` input sequences of `len` steps at once (`xs` flat, row
+    /// `b * len + t` = sequence `b`'s step `t`), retaining what the
+    /// backward passes need. The LSTM runs through
+    /// [`LstmCell::forward_flat`] and the head over every hidden row in
+    /// one [`Dense::forward_rows`] product, so each output row is
+    /// bit-for-bit the single-sequence result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.len() != batch * len * input_size()`.
+    pub fn forward_flat(&self, xs: &[f64], batch: usize, len: usize) -> Seq2SeqBatchTrace {
+        let lstm = self.cell.forward_flat(xs, batch, len);
+        let head = self.head.forward_rows(lstm.hiddens().clone());
+        Seq2SeqBatchTrace { lstm, head }
     }
 
-    /// Forward pass retaining everything needed for [`Self::backward`].
+    /// Pure inference over a batch: the generated rows of
+    /// [`Self::forward_flat`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.len() != batch * len * input_size()`.
+    pub fn generate_flat(&self, xs: &[f64], batch: usize, len: usize) -> Vec<f64> {
+        self.forward_flat(xs, batch, len).head.outputs().as_slice().to_vec()
+    }
+
+    /// Backpropagates per-row output gradients (`dys` flat, trace row
+    /// layout), accumulating parameter gradients in the order of one
+    /// [`Self::backward`] call per sequence: the head row by row, the cell
+    /// sequence ascending and timestep descending. Input gradients are not
+    /// formed; see [`Self::input_grad_flat`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dys` does not hold one output-width row per trace row.
+    pub fn backward_flat(&mut self, trace: &Seq2SeqBatchTrace, dys: &[f64]) {
+        let dhs = self.head.backward_rows(&trace.head, dys);
+        self.cell.backward_flat(&trace.lstm, &dhs);
+    }
+
+    /// Gradient of `Σ dys · outputs` with respect to every input row of a
+    /// batch trace — a *pure* pass through `&self` that leaves the
+    /// parameter-gradient accumulators untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dys` does not hold one output-width row per trace row.
+    pub fn input_grad_flat(&self, trace: &Seq2SeqBatchTrace, dys: &[f64]) -> Vec<f64> {
+        let dhs = self.head.input_grad_rows(&trace.head, dys);
+        self.cell.input_grad_flat(&trace.lstm, &dhs)
+    }
+
+    /// Pure inference: maps an input sequence to an output sequence.
+    pub fn generate(&self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        self.forward(xs).outputs
+    }
+
+    /// Forward pass retaining everything needed for [`Self::backward`]: a
+    /// batch of one through [`Self::forward_flat`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if any input row has the wrong width.
     pub fn forward(&self, xs: &[Vec<f64>]) -> Seq2SeqTrace {
-        let lstm = self.cell.forward_seq(xs);
-        let mut heads = Vec::with_capacity(lstm.len());
-        let mut outputs = Vec::with_capacity(lstm.len());
-        for t in 0..lstm.len() {
-            let (y, cache) = self.head.forward_with_cache(lstm.hidden(t));
-            heads.push(cache);
-            outputs.push(y);
-        }
-        Seq2SeqTrace {
-            lstm,
-            heads,
-            outputs,
-        }
+        let flat = flatten_rows(xs, self.input_size(), "LstmCell");
+        let inner = self.forward_flat(&flat, 1, xs.len());
+        let outputs = unflatten_rows(inner.outputs(), self.output_size());
+        Seq2SeqTrace { inner, outputs }
     }
 
     /// Backpropagates per-timestep output gradients, accumulating parameter
@@ -110,18 +170,10 @@ impl LstmSeq2Seq {
     ///
     /// Panics if `dys.len()` differs from the trace length.
     pub fn backward(&mut self, trace: &Seq2SeqTrace, dys: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        assert_eq!(
-            dys.len(),
-            trace.heads.len(),
-            "backward: {} gradients for {} steps",
-            dys.len(),
-            trace.heads.len()
-        );
-        let mut dhs = Vec::with_capacity(dys.len());
-        for (cache, dy) in trace.heads.iter().zip(dys) {
-            dhs.push(self.head.backward_from(cache, dy));
-        }
-        self.cell.backward_seq(&trace.lstm, &dhs)
+        let flat = self.flatten_dys(trace, dys);
+        let dhs = self.head.backward_rows(&trace.inner.head, &flat);
+        let dxs = self.cell.backward_flat_with_input(&trace.inner.lstm, &dhs);
+        unflatten_rows(&dxs, self.input_size())
     }
 
     /// Gradient of `sum_t dys[t] · output[t]` with respect to every input
@@ -140,13 +192,20 @@ impl LstmSeq2Seq {
             dys.len(),
             xs.len()
         );
-        let lstm = self.cell.forward_seq(xs);
-        let mut dhs = Vec::with_capacity(dys.len());
-        for (t, dy) in dys.iter().enumerate() {
-            let (_, cache) = self.head.forward_with_cache(lstm.hidden(t));
-            dhs.push(self.head.backward_input(&cache, dy));
-        }
-        self.cell.input_grad_seq(&lstm, &dhs)
+        let trace = self.forward(xs);
+        let flat = self.flatten_dys(&trace, dys);
+        unflatten_rows(&self.input_grad_flat(&trace.inner, &flat), self.input_size())
+    }
+
+    fn flatten_dys(&self, trace: &Seq2SeqTrace, dys: &[Vec<f64>]) -> Vec<f64> {
+        assert_eq!(
+            dys.len(),
+            trace.outputs.len(),
+            "backward: {} gradients for {} steps",
+            dys.len(),
+            trace.outputs.len()
+        );
+        flatten_rows(dys, self.output_size(), "LstmSeq2Seq::backward")
     }
 }
 
@@ -247,6 +306,36 @@ mod tests {
                 assert!((o - t).abs() < 0.1, "generated {o} target {t}");
             }
         }
+    }
+
+    #[test]
+    fn batch_matches_single_sequences_bitwise() {
+        let g = gen();
+        let seqs: Vec<Vec<Vec<f64>>> = (0..3)
+            .map(|b| (0..5).map(|t| vec![0.1 * (b + t) as f64, -0.07 * (t * b) as f64]).collect())
+            .collect();
+        let flat: Vec<f64> = seqs.iter().flatten().flatten().copied().collect();
+        let trace = g.forward_flat(&flat, 3, 5);
+        let dys: Vec<f64> = (0..45).map(|k| ((k * 7) % 5) as f64 * 0.1 - 0.2).collect();
+        let dz = g.input_grad_flat(&trace, &dys);
+        let mut batched = g.clone();
+        batched.zero_grads();
+        batched.backward_flat(&trace, &dys);
+        let mut single = g.clone();
+        single.zero_grads();
+        for (b, xs) in seqs.iter().enumerate() {
+            let t = single.forward(xs);
+            assert_eq!(t.outputs().concat().as_slice(), &trace.outputs()[b * 15..(b + 1) * 15]);
+            let dy: Vec<Vec<f64>> = dys[b * 15..(b + 1) * 15].chunks(3).map(<[f64]>::to_vec).collect();
+            let dx = single.backward(&t, &dy);
+            assert_eq!(dx.concat().as_slice(), &dz[b * 10..(b + 1) * 10]);
+            assert_eq!(g.input_gradients(xs, &dy), dx);
+        }
+        let mut a = Vec::new();
+        batched.visit_params(&mut |_, gr| a.extend(gr.as_slice().iter().map(|v| v.to_bits())));
+        let mut s = Vec::new();
+        single.visit_params(&mut |_, gr| s.extend(gr.as_slice().iter().map(|v| v.to_bits())));
+        assert_eq!(a, s);
     }
 
     #[test]

@@ -443,19 +443,52 @@ impl Matrix {
             x.len(),
             self.rows
         );
-        crate::sanitize::check_finite(&self.data, "matvec_transpose matrix");
-        crate::sanitize::check_finite(x, "matvec_transpose vector");
         let mut out = vec![0.0; self.cols];
-        for (r, &xr) in x.iter().enumerate() {
-            if xr == 0.0 { // lint: allow(L4): exact-zero sparsity skip — only the literal 0.0 contributes nothing
-                continue;
-            }
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (o, &a) in out.iter_mut().zip(row) {
-                *o += a * xr;
-            }
+        if self.rows > 0 {
+            self.matvec_transpose_rows_into(x, &mut out);
         }
         out
+    }
+
+    /// Row-batched [`Self::matvec_transpose`] into a caller-owned buffer:
+    /// each `self.rows()`-long row of `xs` maps to the matching
+    /// `self.cols()`-long row of `out`, which is overwritten. Every output
+    /// row is bit-for-bit what `matvec_transpose` returns for its input
+    /// row (same ascending-row accumulation from 0.0, same exact-zero
+    /// skip), so the backward passes of the nn layers can batch their
+    /// `dz · W` products across sequences without allocating per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.len()` is not a multiple of `self.rows()` or `out`
+    /// does not hold one `self.cols()`-long row per input row.
+    pub fn matvec_transpose_rows_into(&self, xs: &[f64], out: &mut [f64]) {
+        let n = xs.len().checked_div(self.rows).unwrap_or(0);
+        assert!(
+            n * self.rows == xs.len() && out.len() == n * self.cols,
+            "matvec_transpose_rows_into: {} inputs / {} outputs for a {}x{} matrix",
+            xs.len(),
+            out.len(),
+            self.rows,
+            self.cols
+        );
+        crate::sanitize::check_finite(&self.data, "matvec_transpose matrix");
+        crate::sanitize::check_finite(xs, "matvec_transpose vector");
+        out.fill(0.0);
+        if self.rows == 0 || self.cols == 0 {
+            return;
+        }
+        for (x, o) in xs.chunks_exact(self.rows).zip(out.chunks_exact_mut(self.cols)) {
+            for (r, &xr) in x.iter().enumerate() {
+                if xr == 0.0 { // lint: allow(L4): exact-zero sparsity skip — only the literal 0.0 contributes nothing
+                    continue;
+                }
+                let row = &self.data[r * self.cols..(r + 1) * self.cols];
+                for (ov, &a) in o.iter_mut().zip(row) {
+                    *ov += a * xr;
+                }
+            }
+        }
     }
 
     /// In-place rank-one update `self += k * a * b^T` (gradient accumulation
@@ -793,6 +826,30 @@ mod tests {
         let y = [2.0, -1.0];
         let expected = a.transpose().matvec(&y);
         assert_eq!(a.matvec_transpose(&y), expected);
+    }
+
+    #[test]
+    fn row_batched_matvec_transpose_matches_per_row_bitwise() {
+        let a = Matrix::from_fn(4, 3, |r, c| ((r * 3 + c) as f64 * 0.37).sin());
+        // Three input rows, one with exact zeros (the sparsity skip).
+        let xs = [0.3, -1.1, 0.0, 2.5, 0.0, 0.0, 0.0, 0.0, 1e-3, 7.0, -0.2, 0.9];
+        let mut out = vec![f64::NAN; 9];
+        a.matvec_transpose_rows_into(&xs, &mut out);
+        for (x, o) in xs.chunks(4).zip(out.chunks(3)) {
+            let single: Vec<u64> = a.matvec_transpose(x).iter().map(|v| v.to_bits()).collect();
+            let batched: Vec<u64> = o.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(single, batched);
+        }
+        let mut empty: Vec<f64> = Vec::new();
+        a.matvec_transpose_rows_into(&[], &mut empty);
+        assert_eq!(Matrix::zeros(0, 2).matvec_transpose(&[]), vec![0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "matvec_transpose_rows_into")]
+    fn row_batched_matvec_transpose_checks_shapes() {
+        let a = Matrix::zeros(4, 3);
+        a.matvec_transpose_rows_into(&[0.0; 5], &mut [0.0; 3]);
     }
 
     #[test]

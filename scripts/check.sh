@@ -48,7 +48,7 @@ printf '{\n  "bench": "analyze",\n  "findings": %s,\n  "wall_ms": %s\n}\n' \
 echo "    analyze wall time: $(( (t1 - t0) / 1000000 )) ms (results/BENCH_analyze.json)"
 
 echo "==> cargo test (strict-numerics sanitizers)"
-cargo test -q -p lgo-tensor -p lgo-nn -p lgo-runtime -p lgo-core \
+cargo test -q -p lgo-tensor -p lgo-nn -p lgo-runtime -p lgo-core -p lgo-detect \
     --features strict-numerics
 
 echo "==> exp_scaling (fast scale): thread-count speedup + determinism gate"
